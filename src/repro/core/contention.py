@@ -26,6 +26,7 @@ All rates are per cycle and all times in cycles throughout this library
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -177,9 +178,15 @@ def _validated_groups(rates, counts) -> tuple[list[float], list[int], int]:
 
 
 #: Inclusion-exclusion term budget for the exact rational path below.
-#: prod(m_g + 1) terms; 4096 covers e.g. 5 unlike groups of 7 machines
-#: each in well under a millisecond, far beyond any canned tree.
+#: prod(m_g + 1) terms; 4096 covers e.g. 4 unlike groups of 7 machines
+#: each (8**4) or 12 singleton groups (2**12), far beyond any canned
+#: tree.
 _EXACT_MAX_TERMS = 4096
+
+#: Distinct merged (rates, counts) keys the order-statistic memo keeps.
+#: A machine-mix search repeats a handful of keys per candidate, so a
+#: few thousand entries hold every live key while bounding memory.
+_EMAX_MEMO_SIZE = 4096
 
 
 def expected_max_exponential(rates, counts=None) -> float:
@@ -201,6 +208,11 @@ def expected_max_exponential(rates, counts=None) -> float:
     * otherwise -- composite Simpson on the substituted survival
       integral ``E = (1/lam_0) \\int_0^1 (1 - prod (1 - x^{a_g})^{m_g})
       / x dx`` with ``x = u^2`` (bounded smooth integrand).
+
+    The unequal-rate paths are memoized on the merged groups (a bounded
+    LRU, :data:`_EMAX_MEMO_SIZE` keys): the inputs are exact floats and
+    the key keeps the merged first-seen order the Simpson sum depends
+    on, so a memo hit returns the bit-identical float.
     """
     rs, cs, total = _validated_groups(rates, counts)
     first = rs[0]
@@ -210,8 +222,12 @@ def expected_max_exponential(rates, counts=None) -> float:
     merged: dict[float, int] = {}
     for r, c in zip(rs, cs):
         merged[r] = merged.get(r, 0) + c
-    grs = list(merged)
-    gms = [merged[r] for r in grs]
+    return _merged_max(tuple(merged), tuple(merged.values()))
+
+
+@functools.lru_cache(maxsize=_EMAX_MEMO_SIZE)
+def _merged_max(grs: tuple[float, ...], gms: tuple[int, ...]) -> float:
+    """E[max] over merged, unequal-rate groups (see the caller)."""
     terms = 1
     for m in gms:
         terms *= m + 1

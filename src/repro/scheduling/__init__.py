@@ -20,9 +20,11 @@ reports with the rest of the library.  See docs/SCHEDULING.md.
 
 from repro.scheduling.evaluate import (
     HeteroEstimate,
+    PreparedPlatform,
     ProcessEstimate,
     barrier_free_cycles,
     evaluate_hetero,
+    prepare_hetero,
 )
 from repro.scheduling.mix import (
     MixCandidate,
@@ -51,6 +53,8 @@ __all__ = [
     "WorkShare",
     "ProcessEstimate",
     "HeteroEstimate",
+    "PreparedPlatform",
+    "prepare_hetero",
     "barrier_free_cycles",
     "evaluate_hetero",
     "POLICIES",

@@ -23,6 +23,13 @@ bit-for-bit to :func:`repro.core.execution.evaluate` with
 ``mode="open"``: the reduction is property-tested, not approximate
 (see docs/SCHEDULING.md for the expression-shape bookkeeping).
 
+The evaluation runs in two steps.  :func:`prepare_hetero` computes the
+share-independent ``T_nb`` and ``c~`` once per (platform, workload,
+model kwargs); :meth:`PreparedPlatform.score` then prices one work
+share.  :func:`evaluate_hetero` is both steps plus the per-process
+breakdown, so a search that scores many shares on one platform (the
+memory-aware policy) folds the tree once and gets the same bits.
+
 Only ``mode="open"`` is supported: the throttled fixed point folds the
 barrier term inside its bisection, so per-process barrier terms cannot
 be grafted on afterwards without changing the homogeneous answer.
@@ -30,11 +37,12 @@ be grafted on afterwards without changing the homogeneous answer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.core.amat import AmatBreakdown, average_memory_access_time
+from repro.core.amat import average_memory_access_time
 from repro.core.contention import generalized_barrier_terms
 from repro.core.locality import StackDistanceModel
 from repro.scheduling.platform import HeteroPlatform
@@ -43,6 +51,8 @@ from repro.scheduling.shares import WorkShare
 __all__ = [
     "ProcessEstimate",
     "HeteroEstimate",
+    "PreparedPlatform",
+    "prepare_hetero",
     "barrier_free_cycles",
     "evaluate_hetero",
 ]
@@ -133,30 +143,95 @@ class HeteroEstimate:
         return "\n".join(lines)
 
 
-def _leaf_amats(
+@dataclass(frozen=True)
+class PreparedPlatform:
+    """The share-independent half of :func:`evaluate_hetero`.
+
+    Per-process barrier-free AMAT ``T_nb``, speed, hosting machine and
+    ``c~ = 1/speed + gamma * T_nb`` for one (platform, workload, model
+    kwargs) triple, folded once by :func:`prepare_hetero`.  Scoring a
+    work share (:meth:`score`, :meth:`costs`) then touches only the
+    barrier coupling, which is what makes a share search cheap.
+    """
+
+    gamma: float
+    t_nb: tuple[float, ...]
+    speeds: tuple[float, ...]
+    machine_of: tuple[int, ...]
+    tilde: tuple[float, ...]
+    saturated: bool  #: some machine's modeled queue saturates (``c~ = inf``)
+
+    def costs(self, weights) -> tuple[float, float, list, list, list]:
+        """``(E(Instr) cycles, total weight, barrier, T, c)`` for ``weights``.
+
+        ``weights`` are per-process, in rank order.  The expressions keep
+        ``evaluate()``'s shapes so the homogeneous reduction is bitwise.
+        """
+        gamma = self.gamma
+        total_weight = math.fsum(weights)
+        if self.saturated:
+            return math.inf, total_weight, [0.0] * len(weights), list(self.t_nb), list(self.tilde)
+        # Arrival rate of p at the barrier, per unit of total work: the
+        # exponential-phase model behind the paper's H_P order statistic,
+        # with the mean interval stretched by p's share and slowness.
+        rates = [1.0 / ((w / total_weight) * c) for w, c in zip(weights, self.tilde)]
+        groups: dict[float, int] = {}
+        for rate in rates:
+            groups[rate] = groups.get(rate, 0) + 1
+        terms = generalized_barrier_terms(tuple(groups), tuple(groups.values()))
+        term_of = dict(zip(groups, terms))
+        barrier = [term_of[rate] for rate in rates]
+        # T_nb + b/gamma matches (base + sum) + barrier_scale*term/gamma
+        # because b == 1.0*term.
+        amat_total = [t + b / gamma for t, b in zip(self.t_nb, barrier)]
+        cycles_pp = [1.0 / s + gamma * t for s, t in zip(self.speeds, amat_total)]
+        e_cycles = max(w * c for w, c in zip(weights, cycles_pp)) / total_weight
+        return e_cycles, total_weight, barrier, amat_total, cycles_pp
+
+    def score(self, weights) -> float:
+        """Modeled E(Instr) in cycles -- ``evaluate_hetero``'s, bit for bit."""
+        return self.costs(weights)[0]
+
+
+#: Prepared platforms kept by :func:`prepare_hetero`'s memo: enough for a
+#: policy comparison on a few platforms, small enough to bound memory.
+_PREPARED_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_PREPARED_MEMO_SIZE)
+def prepare_hetero(
     platform: HeteroPlatform,
     locality: StackDistanceModel,
     gamma: float,
     *,
-    remote_rate_adjustment: float,
-    include_peer_cache: bool,
-    remote_cached_fraction: float,
-    cache_capacity_factor: float,
-    on_saturation: str,
-    sharing_fraction: float,
-    sharing_fresh_fraction: float,
-    contention_boost: float,
-) -> list[AmatBreakdown]:
-    """Barrier-free AMAT per machine, memoized over identical hierarchies."""
-    memo: dict = {}
-    out: list[AmatBreakdown] = []
-    for hierarchy in platform.hierarchies(
+    remote_rate_adjustment: float = 0.0,
+    include_peer_cache: bool = False,
+    remote_cached_fraction: float = 0.0,
+    cache_capacity_factor: float = 1.0,
+    on_saturation: Literal["raise", "inf"] = "inf",
+    sharing_fraction: float = 0.0,
+    sharing_fresh_fraction: float = 1.0,
+    contention_boost: float = 1.0,
+) -> PreparedPlatform:
+    """Fold the tree and price every machine once (no work share yet).
+
+    Memoized on its (hashable, frozen) arguments in a small LRU, so a
+    placement search and the evaluation of the share it returns fold
+    the same platform once.
+    """
+    # Barrier-free AMAT per machine, memoized over identical hierarchies.
+    amats: dict = {}
+    t_nb: list[float] = []
+    speeds: list[float] = []
+    machine_of: list[int] = []
+    hierarchies = platform.hierarchies(
         include_peer_cache=include_peer_cache,
         remote_cached_fraction=remote_cached_fraction,
         cache_capacity_factor=cache_capacity_factor,
-    ):
-        if hierarchy not in memo:
-            memo[hierarchy] = average_memory_access_time(
+    )
+    for index, (leaf, hierarchy) in enumerate(zip(platform.machines, hierarchies)):
+        if hierarchy not in amats:
+            amats[hierarchy] = average_memory_access_time(
                 hierarchy,
                 locality,
                 gamma,
@@ -168,23 +243,25 @@ def _leaf_amats(
                 sharing_fresh_fraction=sharing_fresh_fraction,
                 contention_boost=contention_boost,
             )
-        out.append(memo[hierarchy])
-    return out
+        t_nb.extend([amats[hierarchy].total_cycles] * leaf.processors)
+        speeds.extend([leaf.speed] * leaf.processors)
+        machine_of.extend([index] * leaf.processors)
+    tilde = tuple(1.0 / s + gamma * t for s, t in zip(speeds, t_nb))
+    return PreparedPlatform(
+        gamma=gamma,
+        t_nb=tuple(t_nb),
+        speeds=tuple(speeds),
+        machine_of=tuple(machine_of),
+        tilde=tilde,
+        saturated=not all(math.isfinite(c) for c in tilde),
+    )
 
 
 def barrier_free_cycles(
     platform: HeteroPlatform,
     locality: StackDistanceModel,
     gamma: float,
-    *,
-    remote_rate_adjustment: float = 0.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "inf",
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
-    contention_boost: float = 1.0,
+    **model_kwargs,
 ) -> tuple[float, ...]:
     """Per-process ``c~[p] = 1/speed + gamma * T_nb``, in rank order.
 
@@ -192,25 +269,9 @@ def barrier_free_cycles(
     quantity the memory-aware policy equalizes (a process's M/D/1 level
     rates depend on how fast it *issues* references, not on how many
     instructions it was handed, so shares never feed back into ``c~``).
+    ``model_kwargs`` are :func:`prepare_hetero`'s.
     """
-    amats = _leaf_amats(
-        platform,
-        locality,
-        gamma,
-        remote_rate_adjustment=remote_rate_adjustment,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-        on_saturation=on_saturation,
-        sharing_fraction=sharing_fraction,
-        sharing_fresh_fraction=sharing_fresh_fraction,
-        contention_boost=contention_boost,
-    )
-    out: list[float] = []
-    for leaf, amat in zip(platform.machines, amats):
-        tilde = 1.0 / leaf.speed + gamma * amat.total_cycles
-        out.extend([tilde] * leaf.processors)
-    return tuple(out)
+    return prepare_hetero(platform, locality, gamma, **model_kwargs).tilde
 
 
 def evaluate_hetero(
@@ -220,20 +281,14 @@ def evaluate_hetero(
     share: WorkShare | None = None,
     *,
     mode: Literal["open"] = "open",
-    remote_rate_adjustment: float = 0.0,
-    include_peer_cache: bool = False,
-    remote_cached_fraction: float = 0.0,
-    cache_capacity_factor: float = 1.0,
-    on_saturation: Literal["raise", "inf"] = "inf",
-    sharing_fraction: float = 0.0,
-    sharing_fresh_fraction: float = 1.0,
-    contention_boost: float = 1.0,
+    **model_kwargs,
 ) -> HeteroEstimate:
     """Predict E(Instr) for a work share on a (possibly mixed) platform.
 
     With ``share=None`` the paper's even split is used; on a
     homogeneous tree that path is bit-identical to
-    ``evaluate(spec, ..., mode="open")``.
+    ``evaluate(spec, ..., mode="open")``.  ``model_kwargs`` are
+    :func:`prepare_hetero`'s.
     """
     if mode != "open":
         raise ValueError(
@@ -253,62 +308,14 @@ def evaluate_hetero(
             f"{platform.name!r} runs {num} processes"
         )
 
-    amats = _leaf_amats(
-        platform,
-        locality,
-        gamma,
-        remote_rate_adjustment=remote_rate_adjustment,
-        include_peer_cache=include_peer_cache,
-        remote_cached_fraction=remote_cached_fraction,
-        cache_capacity_factor=cache_capacity_factor,
-        on_saturation=on_saturation,
-        sharing_fraction=sharing_fraction,
-        sharing_fresh_fraction=sharing_fresh_fraction,
-        contention_boost=contention_boost,
-    )
-    t_nb: list[float] = []
-    speeds: list[float] = []
-    machine_of: list[int] = []
-    for index, (leaf, amat) in enumerate(zip(platform.machines, amats)):
-        t_nb.extend([amat.total_cycles] * leaf.processors)
-        speeds.extend([leaf.speed] * leaf.processors)
-        machine_of.extend([index] * leaf.processors)
-
+    prepared = prepare_hetero(platform, locality, gamma, **model_kwargs)
     weights = share.weights
-    total_weight = math.fsum(weights)
-    tilde = [1.0 / s + gamma * t for s, t in zip(speeds, t_nb)]
-
-    if all(math.isfinite(c) for c in tilde):
-        # Arrival rate of p at the barrier, per unit of total work: the
-        # exponential-phase model behind the paper's H_P order statistic,
-        # with the mean interval stretched by p's share and slowness.
-        fractions = [w / total_weight for w in weights]
-        rates = [1.0 / (phi * c) for phi, c in zip(fractions, tilde)]
-        groups: dict[float, int] = {}
-        for rate in rates:
-            groups[rate] = groups.get(rate, 0) + 1
-        terms = generalized_barrier_terms(tuple(groups), tuple(groups.values()))
-        term_of = dict(zip(groups, terms))
-        barrier = [term_of[rate] for rate in rates]
-        # T and c keep evaluate()'s expression shapes so the homogeneous
-        # reduction is bitwise, not approximate: T_nb + b/gamma matches
-        # (base + sum) + barrier_scale*term/gamma because b == 1.0*term.
-        amat_total = [t + b / gamma for t, b in zip(t_nb, barrier)]
-        cycles_pp = [1.0 / s + gamma * t for s, t in zip(speeds, amat_total)]
-        e_cycles = max(w * c for w, c in zip(weights, cycles_pp)) / total_weight
-        e_seconds = e_cycles / platform.cpu_hz
-    else:
-        barrier = [0.0] * num
-        amat_total = list(t_nb)
-        cycles_pp = tilde
-        e_cycles = math.inf
-        e_seconds = math.inf
-
+    e_cycles, total_weight, barrier, amat_total, cycles_pp = prepared.costs(weights)
     processes = tuple(
         ProcessEstimate(
             process=p,
-            machine=machine_of[p],
-            speed=speeds[p],
+            machine=prepared.machine_of[p],
+            speed=prepared.speeds[p],
             weight=weights[p],
             fraction=weights[p] / total_weight,
             amat_cycles=amat_total[p],
@@ -321,7 +328,7 @@ def evaluate_hetero(
         platform_name=platform.name,
         policy=share.policy,
         e_instr_cycles=e_cycles,
-        e_instr_seconds=e_seconds,
+        e_instr_seconds=e_cycles / platform.cpu_hz,
         total_processors=num,
         cpu_hz=platform.cpu_hz,
         gamma=gamma,

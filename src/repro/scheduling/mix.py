@@ -126,6 +126,19 @@ def variants_from_space(space: CandidateSpace) -> tuple[MachineVariant, ...]:
     return tuple(seen)
 
 
+def _price_never_drops(catalog: PriceCatalog, nodes, networks) -> bool:
+    """True when one more machine can never make a mix cheaper.
+
+    :func:`~repro.cost.model.hetero_cluster_cost` sums one leaf price
+    and one network port per machine, so a non-negative price for each
+    makes the total non-decreasing in every machine count -- in float
+    arithmetic too, since adding a non-negative term never rounds down.
+    """
+    return all(hetero_cluster_cost(catalog, node) >= 0 for node in nodes) and all(
+        catalog.network_price(network) >= 0 for network in networks
+    )
+
+
 def enumerate_mixed_configurations(
     budget: float,
     catalog: PriceCatalog | None = None,
@@ -137,33 +150,41 @@ def enumerate_mixed_configurations(
     Pure (single-variant) clusters are the homogeneous optimizer's job;
     here both variants appear at least once, so every yielded topology
     is heterogeneous.  Prices always use full-size parts even when the
-    space's ``size_scale`` shrinks the modeled capacities.
+    space's ``size_scale`` shrinks the modeled capacities.  Once every
+    network prices a count pair over budget, larger counts are skipped:
+    they cost at least as much (:func:`_price_never_drops`).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     catalog = catalog or DEFAULT_CATALOG
     space = space or CandidateSpace()
     variants = variants_from_space(space)
+    full_nodes = {v: v.node(latencies) for v in variants}
+    scaled_nodes = {v: v.node(latencies, space.size_scale) for v in variants}
+    interconnects = [(network, interconnect_for(network)) for network in space.networks]
     for first, second in combinations(variants, 2):
+        if full_nodes[first] == full_nodes[second]:
+            continue  # equal variants collapse; not a mix
+        prunable = _price_never_drops(
+            catalog, (full_nodes[first], full_nodes[second]), space.networks
+        )
         for count_first in range(1, space.mix_max_machines):
             for count_second in range(1, space.mix_max_machines + 1 - count_first):
-                for network in space.networks:
-                    interconnect = interconnect_for(network)
+                affordable = False
+                for network, interconnect in interconnects:
                     full = ClusterNode(
-                        children=(first.node(latencies),) * count_first
-                        + (second.node(latencies),) * count_second,
+                        children=(full_nodes[first],) * count_first
+                        + (full_nodes[second],) * count_second,
                         interconnect=interconnect,
                     )
-                    if not isinstance(full, ClusterNode) or full.is_homogeneous:
-                        continue  # equal variants collapse; not a mix
                     price = hetero_cluster_cost(catalog, full)
                     if price > budget:
                         continue
+                    affordable = True
                     scaled = (
                         ClusterNode(
-                            children=(first.node(latencies, space.size_scale),)
-                            * count_first
-                            + (second.node(latencies, space.size_scale),) * count_second,
+                            children=(scaled_nodes[first],) * count_first
+                            + (scaled_nodes[second],) * count_second,
                             interconnect=interconnect,
                         )
                         if space.size_scale > 1
@@ -179,6 +200,10 @@ def enumerate_mixed_configurations(
                         network=network,
                         cost=price,
                     )
+                if prunable and not affordable:
+                    break  # more second machines cost at least as much
+            if prunable and not affordable and count_second == 1:
+                break  # so do more first machines
 
 
 def design_mix(

@@ -24,11 +24,7 @@ import math
 from typing import Callable, Mapping
 
 from repro.core.locality import StackDistanceModel
-from repro.scheduling.evaluate import (
-    HeteroEstimate,
-    barrier_free_cycles,
-    evaluate_hetero,
-)
+from repro.scheduling.evaluate import HeteroEstimate, evaluate_hetero, prepare_hetero
 from repro.scheduling.platform import HeteroPlatform
 from repro.scheduling.shares import WorkShare
 
@@ -82,15 +78,18 @@ def memory_aware(
     equal-arrival split ``w[p] = 1/c~[p]`` (every process reaches the
     barrier at the same expected time); the best is refined by a
     monotone multiplicative descent, one weight per *group* of
-    identical processes, scored through :func:`evaluate_hetero`.  The
-    even and speed splits are among the starts, so memory-aware never
-    loses to round-robin or speed-proportional on any input -- by
-    construction, not by luck.  When the model saturates (infinite
-    ``c~``) relative memory costs carry no signal and the speed split
-    is returned as-is.
+    identical processes.  The platform is folded once
+    (:func:`~repro.scheduling.evaluate.prepare_hetero`) and every start
+    and move is scored on it, bit-identically to :func:`evaluate_hetero`
+    on the normalized share.  The even and speed splits are among the
+    starts, so memory-aware never loses to round-robin or
+    speed-proportional on any input -- by construction, not by luck.
+    When the model saturates (infinite ``c~``) relative memory costs
+    carry no signal and the speed split is returned as-is.
     """
-    tilde = barrier_free_cycles(platform, locality, gamma, **model_kwargs)
-    if not all(math.isfinite(c) for c in tilde):
+    prepared = prepare_hetero(platform, locality, gamma, **model_kwargs)
+    tilde = prepared.tilde
+    if prepared.saturated:
         return WorkShare(speed_proportional(platform).weights, policy="memory-aware")
     if len(set(zip(tilde, platform.speeds))) == 1:
         # Homogeneous in the model's eyes: the even split is the answer
@@ -98,9 +97,9 @@ def memory_aware(
         return WorkShare.even(platform.total_processors, policy="memory-aware")
 
     def cost(weights: list[float]) -> float:
-        share = _normalized(weights, "memory-aware")
-        est = evaluate_hetero(platform, locality, gamma, share, **model_kwargs)
-        return est.e_instr_cycles
+        # Score the share _normalized() would build, without building it.
+        top = max(weights)
+        return prepared.score([w / top for w in weights])
 
     starts = [
         list(round_robin(platform).weights),

@@ -245,3 +245,54 @@ class TestGeneralizedBarrierTerms:
                 assert ba >= bb
             else:
                 assert ba == bb
+
+
+class TestExpectedMaxMemo:
+    """The unequal-rate paths are memoized; a hit must be bit-identical."""
+
+    CASES = [
+        ([2.5], [6]),                      # all rates equal (not memoized)
+        ([1.0, 3.0, 1.0], [2, 1, 1]),      # exact Fraction path
+        ([1.0, 2.0], [70, 70]),            # Simpson path
+    ]
+
+    @pytest.mark.parametrize("rates,counts", CASES, ids=["equal", "fraction", "simpson"])
+    def test_repeated_calls_return_identical_floats(self, rates, counts):
+        from repro.core.contention import _merged_max, expected_max_exponential
+
+        _merged_max.cache_clear()
+        cold = expected_max_exponential(rates, counts)
+        warm = expected_max_exponential(rates, counts)
+        again = expected_max_exponential(list(rates), tuple(counts))
+        assert math.isfinite(cold)
+        assert cold.hex() == warm.hex() == again.hex()
+
+    def test_hit_equals_unmemoized_computation(self):
+        from repro.core.contention import _merged_max, expected_max_exponential
+
+        for rates, counts in self.CASES[1:]:
+            expected_max_exponential(rates, counts)  # populate
+            grs = tuple(dict.fromkeys(float(r) for r in rates))
+            gms = tuple(
+                sum(c for r, c in zip(rates, counts) if r == g) for g in grs
+            )
+            assert expected_max_exponential(rates, counts) == _merged_max.__wrapped__(
+                grs, gms
+            )
+
+    def test_memo_is_bounded(self):
+        from repro.core.contention import _EMAX_MEMO_SIZE, _merged_max
+
+        maxsize = _merged_max.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize == _EMAX_MEMO_SIZE
+
+    def test_key_keeps_first_seen_group_order(self):
+        from repro.core.contention import _merged_max, expected_max_exponential
+
+        _merged_max.cache_clear()
+        expected_max_exponential([1.0, 2.0], [70, 70])
+        expected_max_exponential([2.0, 1.0], [70, 70])
+        # The Simpson sum is order-sensitive, so the two orders are two keys.
+        assert _merged_max.cache_info().currsize == 2
+        expected_max_exponential([1.0, 2.0, 1.0], [30, 70, 40])
+        assert _merged_max.cache_info().hits == 1
