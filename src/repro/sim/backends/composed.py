@@ -225,6 +225,10 @@ class ComposedBackend(MemoryBackend):
             self.fabric = None
             self._access_impl = self._access_smp
             self._batch_impl = self._batch_smp
+            self._l1 = self.caches
+            self._write_hit_local = (
+                self._write_local_smp if self.l2 is None else None
+            )
             return
 
         # -- multi-machine: hybrid protocol over a routed fabric --------
@@ -245,6 +249,8 @@ class ComposedBackend(MemoryBackend):
             snoops = [SnoopingBus([c]) for c in self.caches]
             self._access_impl = self._access_cow
             self._batch_impl = self._batch_cow
+            self._l1 = self.caches
+            write_local = self._write_local_cow
         else:
             self.caches = [
                 [
@@ -257,7 +263,11 @@ class ComposedBackend(MemoryBackend):
             self.buses = [Server() for _ in range(N)]  # per-SMP memory bus
             self._access_impl = self._access_clump
             self._batch_impl = self._batch_clump
+            self._l1 = [c for machine_caches in self.caches for c in machine_caches]
+            write_local = self._write_local_clump
         self.protocol = HybridProtocol(snoops, self.home_of_line_block, N)
+        self._owner_of = self.protocol.directory.exclusive_owner
+        self._write_hit_local = write_local if self.l2s is None else None
 
     def home_of_line_block(self, block: int) -> int:
         return self.home_of_line(block * LINES_PER_BLOCK)
@@ -269,6 +279,27 @@ class ComposedBackend(MemoryBackend):
 
     # ------------------------------------------------------------------
     def access(self, proc: int, line: int, is_write: bool, now: float) -> float:
+        """One reference.  A pure-local hit -- any read hit in ``proc``'s
+        own L1, or a write hit that passes the shape's
+        ``_write_hit_local`` rule (the same rule its batch path applies)
+        -- is settled here: it touches no shared server and changes no
+        coherence state, so the full per-shape path would only touch
+        LRU, set the dirty bit, count a hit and return ``now + t_hit``.
+        Everything else takes the full path."""
+        cache = self._l1[proc]
+        pos = cache.index.get(line)
+        if pos is not None:
+            if not is_write:
+                cache.touch(pos)
+            else:
+                write_local = self._write_hit_local
+                if write_local is None or not write_local(proc, cache, pos, line):
+                    return self._access_impl(proc, line, is_write, now)
+                cache.touch(pos, True)
+            st = self.stats
+            st.references += 1
+            st.cache_hits += 1
+            return now + self.t_hit
         return self._access_impl(proc, line, is_write, now)
 
     def access_batch(
@@ -328,6 +359,17 @@ class ComposedBackend(MemoryBackend):
             prof, self.bus, t, self.t_mem, "memory", "local_memory", "memory bus"
         )
         return timed_request(prof, self.disk, t, self.t_disk, "disk", "disk")
+
+    def _write_local_smp(self, proc, cache, pos, line) -> bool:
+        # A dirty line has no peer copy (a peer read would have cleaned
+        # it, a peer write invalidated it); a clean one is a silent
+        # upgrade when no peer holds it.  Either way nothing broadcasts.
+        if cache.dirty_at_slot(pos):
+            return True
+        for peer in self._l1:
+            if peer is not cache and line in peer.index:
+                return False
+        return True
 
     def _batch_smp(
         self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
@@ -476,6 +518,10 @@ class ComposedBackend(MemoryBackend):
         t = self.fabric.transfer(t, machine, out.home, cause="remote_clean")
         return self._home_memory_time(t, out.home, line)
 
+    def _write_local_cow(self, proc, cache, pos, line) -> bool:
+        # A silent upgrade: this machine already owns the block.
+        return self._owner_of(line // LINES_PER_BLOCK) == proc
+
     def _batch_cow(
         self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float
     ) -> tuple[int, int]:
@@ -576,6 +622,13 @@ class ComposedBackend(MemoryBackend):
         st.remote_clean += 1
         t = self.fabric.transfer(t, machine, out.home, cause="remote_clean")
         return self._home_memory_time(t, out.home, line)
+
+    def _write_local_clump(self, proc, cache, pos, line) -> bool:
+        # Quiet on both layers: dirty in the issuing cache (no snoop
+        # broadcast) and the machine owns the block (no directory work).
+        return cache.dirty_at_slot(pos) and (
+            self._owner_of(line // LINES_PER_BLOCK) == proc // self.spec.n
+        )
 
     def _batch_clump(
         self, proc: int, lines: np.ndarray, writes: np.ndarray, now: float

@@ -6,12 +6,16 @@ line-granular (items), so the set index is simply ``line % num_sets``.
 
 State lives in three ``(num_sets, ways)`` arrays -- ``tags`` (the line
 held by each slot, -1 when empty), ``stamps`` (per-slot LRU ticks from
-one global counter) and ``dirty`` flags.  The scalar operations walk one
-set's ``ways`` slots directly (a set never holds more than ``ways``
-entries, so eviction is a min over ``ways`` stamps); the ``*_batch``
-methods evaluate whole address vectors in single array operations, which
-is what the execution engine's vectorized fast path is built on.  Both
-paths produce bit-identical cache state.
+one global counter) and ``dirty`` flags -- plus ``index``, a dict from
+each resident line to its flat slot.  The scalar operations find a line
+with one dict lookup and only walk a set's ``ways`` slots to pick a
+victim on a fill (a set never holds more than ``ways`` entries, so
+eviction is a min over ``ways`` stamps); the batch methods evaluate
+whole address vectors in single array operations against the tag array,
+which is what the execution engine's vectorized fast path is built on.
+Both paths produce bit-identical cache state; ``fill``, ``invalidate``
+and ``clear`` are the only writers of tags, and they keep the index and
+the tag array in step.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ class SetAssociativeCache:
         "_flat_stamps",
         "_flat_dirty",
         "_tick",
+        "index",
     )
 
     def __init__(self, capacity_items: int, ways: int = 2) -> None:
@@ -57,28 +62,36 @@ class SetAssociativeCache:
         self._flat_stamps = self._stamps.ravel()
         self._flat_dirty = self._dirty.ravel()
         self._tick = 0
+        #: Resident line -> flat slot index; read-only outside this class.
+        self.index: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # scalar path
     # ------------------------------------------------------------------
     def _slot(self, line: int) -> int:
         """Flat slot index holding ``line``, or -1 when absent."""
-        base = (line % self.num_sets) * self.ways
-        tags = self._flat_tags
-        for pos in range(base, base + self.ways):
-            if tags[pos] == line:
-                return pos
-        return -1
+        return self.index.get(line, -1)
 
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True if ``line`` is resident; refresh its LRU stamp if asked."""
-        pos = self._slot(line)
-        if pos < 0:
+        pos = self.index.get(line)
+        if pos is None:
             return False
         if touch:
-            self._tick += 1
-            self._flat_stamps[pos] = self._tick
+            self.touch(pos)
         return True
+
+    def touch(self, pos: int, dirty: bool = False) -> None:
+        """One LRU touch of the resident slot ``pos`` (from :attr:`index`),
+        marking it dirty if asked -- what a hit does to the cache."""
+        self._tick += 1
+        self._flat_stamps[pos] = self._tick
+        if dirty:
+            self._flat_dirty[pos] = True
+
+    def dirty_at_slot(self, pos: int) -> bool:
+        """Dirty flag of one resident slot (as found in :attr:`index`)."""
+        return self._flat_dirty.item(pos)
 
     def contains(self, line: int) -> bool:
         """Presence check without disturbing LRU order."""
@@ -90,33 +103,34 @@ class SetAssociativeCache:
         Filling a line that is already resident just refreshes its LRU
         stamp (and may add the dirty mark); nothing is evicted.
         """
+        index = self.index
+        pos = index.get(line)
+        if pos is not None:
+            self.touch(pos, dirty)
+            return None
         self._tick += 1
         base = (line % self.num_sets) * self.ways
         tags = self._flat_tags
         stamps = self._flat_stamps
-        empty = -1
         victim = -1
+        oldest = 0
         for pos in range(base, base + self.ways):
-            tag = tags[pos]
-            if tag == line:
-                stamps[pos] = self._tick
-                if dirty:
-                    self._flat_dirty[pos] = True
-                return None
-            if tag < 0:
-                if empty < 0:
-                    empty = pos
-            elif victim < 0 or stamps[pos] < stamps[victim]:
-                victim = pos
-        evicted = None
-        if empty >= 0:
-            pos = empty
+            if tags.item(pos) < 0:
+                break  # first empty slot
+            stamp = stamps.item(pos)
+            if victim < 0 or stamp < oldest:
+                victim, oldest = pos, stamp
         else:
             pos = victim
-            evicted = (int(tags[pos]), bool(self._flat_dirty[pos]))
+        evicted = None
+        old = tags.item(pos)
+        if old >= 0:
+            evicted = (old, self._flat_dirty.item(pos))
+            del index[old]
         tags[pos] = line
         stamps[pos] = self._tick
         self._flat_dirty[pos] = dirty
+        index[line] = pos
         return evicted
 
     def mark_dirty(self, line: int) -> None:
@@ -142,10 +156,10 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; return whether it was dirty."""
-        pos = self._slot(line)
+        pos = self.index.pop(line, -1)
         if pos < 0:
             return False
-        was_dirty = bool(self._flat_dirty[pos])
+        was_dirty = self._flat_dirty.item(pos)
         self._flat_tags[pos] = -1
         self._flat_dirty[pos] = False
         return was_dirty
@@ -189,8 +203,9 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     @property
     def resident_lines(self) -> int:
-        return int((self._tags >= 0).sum())
+        return len(self.index)
 
     def clear(self) -> None:
         self._tags.fill(-1)
         self._dirty.fill(False)
+        self.index.clear()

@@ -21,9 +21,11 @@ of references via ``access_batch`` -- maximal stretches of pure-local
 cache hits between barriers and the causality horizon, which cannot
 touch a shared server or another process's coherence state -- in single
 array operations, falling back to scalar for anything that could queue,
-invalidate, or miss.  Per-trace arrays (addresses, issue costs, barrier
-indices) are hoisted once at construction and reused across ``execute``
-calls rather than rebuilt per invocation.
+invalidate, or miss.  A process whose batches stop paying backs off and
+steps scalar for a while (see ``BACKOFF_CAP``).  Per-trace arrays
+(addresses, issue costs, barrier indices) are hoisted once at
+construction and reused across ``execute`` calls rather than rebuilt
+per invocation.
 """
 
 from __future__ import annotations
@@ -124,8 +126,15 @@ class SimulationEngine:
 
     #: Slices shorter than this go straight to the scalar lane; a batch
     #: evaluation costs a fixed handful of array operations, which only
-    #: pays for itself over longer runs.
+    #: pays for itself over longer runs.  A batch that consumes fewer
+    #: references than this did not pay either.
     MIN_BATCH = 8
+    #: Ceiling of the per-process batch back-off.  After a batch that
+    #: did not pay, the process steps 1, 2, 4, ... references (doubling
+    #: per unpaid batch, up to this many) on the scalar lane before it
+    #: offers another; a batch that pays resets the back-off.  Purely
+    #: dispatch: both lanes are bit-identical, so results cannot move.
+    BACKOFF_CAP = 256
     #: Skip batching when fewer than this many cycles remain before the
     #: causality limit -- the window cannot fit a worthwhile run (every
     #: reference costs at least two cycles).  With ``horizon=0`` this
@@ -307,6 +316,7 @@ class SimulationEngine:
         use_batch = self._batch_ready
         min_batch = self.MIN_BATCH
         min_window = self.MIN_WINDOW
+        backoff_cap = self.BACKOFF_CAP
         # Interval sampling: rec stays None on the default path, so the
         # hot loop pays only a local is-None test per step when off.
         rec = (
@@ -351,6 +361,7 @@ class SimulationEngine:
         # of references to consume twenty.  Purely a performance knob --
         # consumption is always a prefix, so results are unchanged.
         caps = [192] * P
+        backoff = [0] * P  #: scalar steps owed after an unpaid batch
         barrier_arrivals: list[float] = []
         waiting: list[int] = []
         barrier_wait = 0.0
@@ -453,7 +464,7 @@ class SimulationEngine:
                     # one shot -- bit-identical to scalar stepping.
                     stop = bl[nb] if nb < len(bl) else n_i
                     if stop - i >= min_batch:
-                        base = sc[i - 1] if i else 0.0
+                        base = sc.item(i - 1) if i else 0.0
                         hi = i + caps[p]
                         if hi > stop:
                             hi = stop
@@ -478,6 +489,15 @@ class SimulationEngine:
                             e = hi
                         if e - i >= min_batch:
                             k, skip = backend.access_batch(p, addr[i:e], wr[i:e], t)
+                            if k < min_batch:
+                                bo = 2 * backoff[p] or 1
+                                if bo > backoff_cap:
+                                    bo = backoff_cap
+                                backoff[p] = bo
+                                if k + bo > skip:
+                                    skip = k + bo
+                            else:
+                                backoff[p] = 0
                             retry = i + skip
                             if k:
                                 cap = 4 * k
@@ -492,7 +512,7 @@ class SimulationEngine:
                                     # times the scalar lane would realize.
                                     rec.record_batch(t + (sc[i:i + k] - base))
                                 i += k
-                                adv = float(sc[i - 1] - base)
+                                adv = sc.item(i - 1) - base
                                 t += adv
                                 if profiling:
                                     # The run's compute share: the batch
@@ -505,21 +525,24 @@ class SimulationEngine:
                     else:
                         retry = stop
                 # one instruction-stream step: compute, then the reference
+                # Per-reference values are read with .item(): Python
+                # scalars keep the clock a Python float (same values as
+                # NumPy scalars, cheaper arithmetic).
                 if factor != 1.0:
-                    full = wk[i] * factor + 1.0
+                    full = wk.item(i) * factor + 1.0
                     if speed != 1.0:
                         full = round(full / speed * 64.0) / 64.0
                     t += full
                     if profiling:
-                        base = wk[i] + 1.0 if qs is None else float(qs[i])
+                        base = wk.item(i) + 1.0 if qs is None else qs.item(i)
                         compute_cycles += base
                         slow_extra += full - base
                 else:
-                    step = wk[i] + 1.0 if qs is None else qs[i]
+                    step = wk.item(i) + 1.0 if qs is None else qs.item(i)
                     t += step
                     if profiling:
                         compute_cycles += step
-                t = backend.access(p, int(addr[i]), bool(wr[i]), t)
+                t = backend.access(p, addr.item(i), wr.item(i), t)
                 i += 1
                 if rec is not None:
                     rec.record_access(t)

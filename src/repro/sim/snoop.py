@@ -67,7 +67,7 @@ class SnoopingBus:
             if is_write:
                 # Upgrade: kill any other copies, then write locally.
                 for q, cache in enumerate(self.caches):
-                    if q != proc and cache.contains(line):
+                    if q != proc and line in cache.index:
                         cache.invalidate(line)
                         invalidated.append(q)
                 self.invalidations += len(invalidated)
@@ -76,11 +76,11 @@ class SnoopingBus:
 
         # Miss: snoop the peers.
         peer_has = any(
-            q != proc and cache.contains(line) for q, cache in enumerate(self.caches)
+            q != proc and line in cache.index for q, cache in enumerate(self.caches)
         )
         if is_write:
             for q, cache in enumerate(self.caches):
-                if q != proc and cache.contains(line):
+                if q != proc and line in cache.index:
                     cache.invalidate(line)
                     invalidated.append(q)
             if invalidated:
@@ -114,6 +114,6 @@ class SnoopingBus:
         """
         dirty = False
         for c in self.caches:
-            if c.invalidate(line):
+            if line in c.index and c.invalidate(line):
                 dirty = True
         return dirty

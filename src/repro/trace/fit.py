@@ -162,6 +162,9 @@ class IncrementalFit:
         self.steps: list[ConvergenceStep] = []
         self._streak = 0
         self._converged_at: int | None = None
+        #: The fit of the current histogram, once computed; dropped
+        #: whenever a chunk is folded in.
+        self._last_fit: FitResult | None = None
 
     # ------------------------------------------------------------------
     def update(
@@ -173,6 +176,7 @@ class IncrementalFit:
         stream has shown no reuse yet (locality is undefined without at
         least one warm reference).
         """
+        self._last_fit = None
         d = np.ascontiguousarray(distances, dtype=np.int64).reshape(-1)
         warm = d[d >= 0]
         self._refs += d.size
@@ -188,7 +192,7 @@ class IncrementalFit:
         if self._refs == 0 or self._hist.size == 0:
             return None
 
-        fit = self._fit_now()
+        fit = self._last_fit = self._fit_now()
         gamma = self.gamma
         prev = self.steps[-1] if self.steps else None
         if prev is None:
@@ -279,8 +283,11 @@ class IncrementalFit:
         return self._converged_at is not None
 
     def result(self) -> FitResult:
-        """The final fit over everything folded in so far."""
-        return self._fit_now()
+        """The final fit over everything folded in so far (the last
+        update's fit when nothing was folded in since)."""
+        if self._last_fit is None:
+            self._last_fit = self._fit_now()
+        return self._last_fit
 
     def convergence(self) -> Convergence:
         """The full trajectory plus the stop-rule outcome."""

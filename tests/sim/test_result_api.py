@@ -114,3 +114,23 @@ def test_as_dict_round_trips_through_metrics_json(results):
         + flat["local_memory"] + flat["remote_clean"] + flat["remote_dirty"]
     )
     assert served == flat["references"]
+
+
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "scalar"])
+@pytest.mark.parametrize("spec", SPECS, ids=_SPEC_IDS)
+def test_clock_fields_are_python_floats(spec, fastpath):
+    """The engine keeps its clocks in Python floats in both lanes, so
+    every float field of the result is a plain ``float``."""
+    r = SimulationEngine(
+        spec, _random_run(spec.total_processors, 0), fastpath=fastpath
+    ).execute()
+    for value in (
+        r.total_cycles,
+        r.e_instr_cycles,
+        r.e_instr_seconds,
+        r.barrier_wait_cycles,
+        r.fault_cycles,
+        *r.per_process_cycles,
+        *r.utilizations.values(),
+    ):
+        assert type(value) is float

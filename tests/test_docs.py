@@ -74,6 +74,13 @@ class TestCrossLinks:
 
 
 class TestDocsMatchCode:
+    def test_simulator_doc_dispatch_constants_match_engine(self):
+        from repro.sim.engine import SimulationEngine
+
+        doc = " ".join((ROOT / "docs" / "SIMULATOR.md").read_text(encoding="utf-8").split())
+        assert f"`SimulationEngine.MIN_BATCH` ({SimulationEngine.MIN_BATCH})" in doc
+        assert f"`BACKOFF_CAP` ({SimulationEngine.BACKOFF_CAP})" in doc
+
     def test_cost_doc_metric_names_exist_in_source(self):
         doc = (ROOT / "docs" / "COST.md").read_text(encoding="utf-8")
         search_src = (ROOT / "src/repro/cost/search.py").read_text(encoding="utf-8")

@@ -44,6 +44,29 @@ class TestIngest:
         assert result.fit.rmse == reference.rmse
         assert result.params.gamma == pytest.approx(0.25)  # work=3/ref
 
+    def test_one_refit_per_chunk(self, tmp_path, monkeypatch):
+        """The final result and params reuse the last chunk's fit: an
+        N-chunk ingest solves exactly N times, with unchanged output."""
+        from repro.trace.fit import IncrementalFit
+
+        container = tmp_path / "c.rtc"
+        addrs = _make_container(container, n=12_000, chunk_records=1000)
+        calls = []
+        fit_now = IncrementalFit._fit_now
+        monkeypatch.setattr(
+            IncrementalFit, "_fit_now", lambda self: calls.append(1) or fit_now(self)
+        )
+        result = ingest(container, name="c", workload_dir=tmp_path / "wl")
+        assert result.stream.chunks == 12
+        assert len(calls) == result.stream.chunks
+        reference = fit_from_distances(stack_distances(addrs))
+        assert result.fit.alpha == reference.alpha
+        assert result.fit.beta == reference.beta
+        assert result.fit.rmse == reference.rmse
+        assert result.params.alpha == reference.alpha
+        assert result.params.beta == reference.beta
+        assert result.params.max_distance == reference.max_distance
+
     def test_registers_a_loadable_workload(self, ingested):
         _, result, wl_dir = ingested
         registry = load_registry(wl_dir)
